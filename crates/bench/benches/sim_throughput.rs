@@ -15,7 +15,7 @@ use cocnet::model::Workload;
 use cocnet::presets;
 use cocnet::sim::{
     run_simulation, run_simulation_built, BuiltSystem, FaultAction, FaultEvent, FaultSchedule,
-    SchedulerKind, ShardMode, SimConfig,
+    SchedulerKind, SimConfig,
 };
 use cocnet::topology::{ClusterSpec, NetworkCharacteristics, SystemSpec};
 use cocnet_workloads::Pattern;
@@ -120,24 +120,6 @@ fn bench_sim_load(c: &mut Criterion) {
             b.iter(|| {
                 run_simulation_built(black_box(&built), &light, Pattern::Uniform, &cfg_faulted)
             })
-        });
-        // The cluster-sharded parallel engine on the same cases: results
-        // are bit-identical to the serial runs above, so any wall-clock
-        // delta is pure engine overhead (or win, on multicore hosts).
-        let cfg_sharded = SimConfig {
-            shards: ShardMode::Auto,
-            ..cfg
-        };
-        group.bench_function(
-            format!("high_load_near_saturation/{scheduler}/sharded"),
-            |b| {
-                b.iter(|| {
-                    run_simulation_built(black_box(&built), &heavy, Pattern::Uniform, &cfg_sharded)
-                })
-            },
-        );
-        group.bench_function(format!("inter_cluster_heavy/{scheduler}/sharded"), |b| {
-            b.iter(|| run_simulation_built(black_box(&built_inter), &inter, pattern, &cfg_sharded))
         });
     }
     group.finish();

@@ -13,7 +13,7 @@
 //! cocnet validate <path>                              check scenario file(s)
 //! cocnet run <name|path> [--quick] [--points N] [--replications N]
 //!                        [--rel-ci X] [--max-replications N]
-//!                        [--scheduler heap|calendar] [--shards off|auto|K]
+//!                        [--scheduler heap|calendar]
 //!                        [--serial] [--json] [--no-sim] [--out json|csv]
 //!                                                     run a registry entry or a
 //!                                                     scenario JSON file
@@ -21,9 +21,7 @@
 //!                                                     point adaptively until the
 //!                                                     latency CI is within X;
 //!                                                     --scheduler picks the
-//!                                                     future-event-list backend,
-//!                                                     --shards runs the cluster-
-//!                                                     sharded parallel engine —
+//!                                                     future-event-list backend —
 //!                                                     results are bit-identical,
 //!                                                     only speed changes)
 //!
@@ -62,7 +60,7 @@ fn usage() -> ! {
          \x20      cocnet validate <path>\n\
          \x20      cocnet run <name|path> [--quick] [--points N] [--replications N] \
          [--rel-ci X] [--max-replications N] [--scheduler heap|calendar] \
-         [--shards off|auto|K] [--serial] [--json] [--no-sim] [--out json|csv]"
+         [--serial] [--json] [--no-sim] [--out json|csv]"
     );
     exit(2);
 }

@@ -416,8 +416,7 @@ pub fn scaling(_opts: &RunOpts) {
 /// *simulation-only*: the runner reports the coverage gap and skips the
 /// analytical series instead of failing. Its JSON twin is committed under
 /// `scenarios/torus_sweep.json` and the golden test pins the sweep
-/// bit-identical across the serial and cluster-sharded engines on both
-/// scheduler backends.
+/// bit-identical across both scheduler backends.
 pub fn torus_sweep() -> Scenario {
     let cluster = ClusterSpec {
         // A torus cluster has no tree height; its shape is `dims`.

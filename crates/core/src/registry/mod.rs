@@ -33,7 +33,7 @@ use crate::report::{
     OutputFormat,
 };
 use crate::runner::Scenario;
-use cocnet_sim::{InternMode, SchedulerKind, ShardMode, SimConfig};
+use cocnet_sim::{InternMode, SchedulerKind, SimConfig};
 use cocnet_topology::{ClusterSpec, SystemSpec};
 use cocnet_workloads::presets;
 
@@ -105,10 +105,6 @@ pub struct RunOpts {
     /// applied to the simulation config wherever one is run. Never
     /// changes results — both backends pop in the identical order.
     pub scheduler: Option<SchedulerKind>,
-    /// Intra-run sharding override (`--shards off|auto|<k>`): partitions
-    /// the worm event loop by cluster with conservative lookahead sync.
-    /// Never changes results — sharded runs are bit-identical to serial.
-    pub shards: Option<ShardMode>,
     /// Baseline trajectory path for `perf_gate` (default `BENCH_sim.json`).
     pub baseline: Option<String>,
     /// Relative events/sec regression tolerance for `perf_gate`
@@ -166,9 +162,6 @@ impl RunOpts {
                 "--scheduler" => {
                     opts.scheduler = Some(take("--scheduler", &mut it)?.parse()?);
                 }
-                "--shards" => {
-                    opts.shards = Some(take("--shards", &mut it)?.parse()?);
-                }
                 "--baseline" => opts.baseline = Some(take("--baseline", &mut it)?),
                 "--threshold" => {
                     opts.threshold = Some(parse_num(&take("--threshold", &mut it)?, "--threshold")?)
@@ -186,7 +179,7 @@ impl RunOpts {
                         "unknown argument {other:?} (flags: --quick --serial --json --no-sim \
                          --points N --replications N --rel-ci X --max-replications N \
                          --out json|csv --rate λ --reps N --out-file PATH \
-                         --scheduler heap|calendar --shards off|auto|K --baseline PATH \
+                         --scheduler heap|calendar --baseline PATH \
                          --threshold X --stamp DATE --fail-links F \
                          --interning classed|eager)"
                     ))
@@ -254,9 +247,6 @@ impl RunOpts {
         if let Some(scheduler) = self.scheduler {
             cfg.scheduler = scheduler;
         }
-        if let Some(shards) = self.shards {
-            cfg.shards = shards;
-        }
         if let Some(fraction) = self.fail_links {
             cfg.faults.link_fraction = fraction;
         }
@@ -309,9 +299,6 @@ pub fn scaled(base: &SimConfig, opts: &RunOpts) -> SimConfig {
     };
     if let Some(scheduler) = opts.scheduler {
         cfg.scheduler = scheduler;
-    }
-    if let Some(shards) = opts.shards {
-        cfg.shards = shards;
     }
     if let Some(fraction) = opts.fail_links {
         cfg.faults.link_fraction = fraction;
@@ -921,20 +908,6 @@ mod tests {
             SchedulerKind::Heap
         );
         assert!(RunOpts::parse(&["--scheduler".into(), "ladder".into()]).is_err());
-    }
-
-    #[test]
-    fn shards_flag_threads_into_sim_configs() {
-        let opts = RunOpts::parse(&["--shards".into(), "auto".into()]).unwrap();
-        assert_eq!(opts.shards, Some(ShardMode::Auto));
-        let base = SimConfig::default();
-        assert_eq!(opts.sim_config(&base).shards, ShardMode::Auto);
-        assert_eq!(scaled(&base, &opts).shards, ShardMode::Auto);
-        let k = RunOpts::parse(&["--shards".into(), "4".into()]).unwrap();
-        assert_eq!(scaled(&base, &k).shards, ShardMode::N(4));
-        // No flag means no override: serial stays the default engine.
-        assert_eq!(RunOpts::default().sim_config(&base).shards, ShardMode::Off);
-        assert!(RunOpts::parse(&["--shards".into(), "many".into()]).is_err());
     }
 
     #[test]

@@ -18,12 +18,8 @@
 //! * `faulted` — a timed fail/repair pulse exercising drop/retry/backoff;
 //! * `flit` — the flit-level reference engine (per-flit events).
 //!
-//! Since PR 8 the two contention-bound cases also run under the
-//! cluster-sharded parallel engine (`…/sharded`, see
-//! [`cocnet_sim::ShardMode`]); results are bit-identical to the serial
-//! cases, so the delta is pure engine overhead or multicore win, and each
-//! entry records the host's `threads` so trajectory points from different
-//! machines are comparable.
+//! Each entry records the host's `threads` so trajectory points from
+//! different machines are comparable.
 //!
 //! Each case is executed `--reps` times; the best wall-clock repetition
 //! is reported (throughput is a capability number, not an average over
@@ -57,7 +53,7 @@ use crate::runner::Scenario;
 use cocnet_model::Workload;
 use cocnet_sim::{
     run_simulation_flit_built, BuiltSystem, Coupling, FaultAction, FaultEvent, FaultSchedule,
-    SchedulerKind, ShardMode, SimConfig,
+    SchedulerKind, SimConfig,
 };
 use cocnet_stats::Table;
 use cocnet_workloads::Pattern;
@@ -112,8 +108,8 @@ struct SnapshotEntry {
     /// Repetitions per case (best is reported).
     reps: usize,
     /// Worker threads available on the measuring host
-    /// (`available_parallelism`) — the budget the `…/sharded` cases run
-    /// against; 0 for entries predating the sharded engine.
+    /// (`available_parallelism`), so entries from different machines can
+    /// be told apart; 0 for entries predating the field.
     #[serde(default)]
     threads: usize,
     /// Engine events summed over the cases' measured repetitions — the
@@ -255,27 +251,6 @@ fn snapshot_cases(quick: bool, reps: usize) -> Vec<CaseReport> {
                 4e-4,
                 Pattern::ClusterLocal { locality: 0.0 },
                 cfg.clone(),
-            ),
-        ));
-        // The same two contention regimes on the cluster-sharded
-        // parallel engine — bit-identical results, so the events/sec
-        // ratio against the serial twins above isolates the sharding
-        // overhead (1 core) or win (multicore).
-        let cfg_sharded = SimConfig {
-            shards: ShardMode::Auto,
-            ..cfg.clone()
-        };
-        cases.push(measure_scenario(
-            &format!("high_load/{scheduler}/sharded"),
-            &scenario("high_load", 1e-3, Pattern::Uniform, cfg_sharded.clone()),
-        ));
-        cases.push(measure_scenario(
-            &format!("inter_heavy/{scheduler}/sharded"),
-            &scenario(
-                "inter_heavy",
-                4e-4,
-                Pattern::ClusterLocal { locality: 0.0 },
-                cfg_sharded,
             ),
         ));
         cases.push(measure_scenario(

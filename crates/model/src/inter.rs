@@ -240,6 +240,21 @@ pub fn inter_latency_with_us(
             classes.push((j, 1.0));
         }
     }
+    inter_latency_over(spec, wl, i, opts, us, &classes)
+}
+
+/// [`inter_latency_with_us`] over pre-grouped destination classes:
+/// `(example cluster, member count)` per distinct (ClusterSpec, U_j) among
+/// the clusters `j ≠ i`, in order of each class's first member — the
+/// order the weighted sum is accumulated in.
+pub(crate) fn inter_latency_over(
+    spec: &SystemSpec,
+    wl: &Workload,
+    i: usize,
+    opts: &ModelOptions,
+    us: &[f64],
+    classes: &[(usize, f64)],
+) -> Result<InterBreakdown, ModelError> {
     let total_weight: f64 = classes.iter().map(|(_, w)| w).sum();
     debug_assert_eq!(total_weight as usize, spec.num_clusters() - 1);
 
@@ -249,7 +264,7 @@ pub fn inter_latency_with_us(
         tail: 0.0,
         condis_wait: 0.0,
     };
-    for &(j, weight) in &classes {
+    for &(j, weight) in classes {
         let pair = pair_latency_with_u(spec, wl, i, j, opts, us[i], us[j])?;
         let w = weight / total_weight;
         out.source_wait += w * pair.source_wait;

@@ -5,7 +5,7 @@
 //! per-cluster means weighted by cluster size (Eq. (3)).
 
 use crate::error::ModelError;
-use crate::inter::{inter_latency_with_us, InterBreakdown};
+use crate::inter::{inter_latency_over, InterBreakdown};
 use crate::intra::{intra_latency_with_u, IntraBreakdown};
 use crate::profile::OutgoingProfile;
 use crate::workload::Workload;
@@ -166,27 +166,51 @@ pub fn evaluate_with_profile(
     }
     let us = profile.values();
 
-    // Representative index per distinct (ClusterSpec, U_i).
+    // Representative (first member) per distinct (ClusterSpec, U_i), with
+    // each class's size and second member.
     let mut class_of: Vec<usize> = Vec::with_capacity(spec.num_clusters());
     let mut reps: Vec<usize> = Vec::new();
+    let mut sizes: Vec<f64> = Vec::new();
+    let mut seconds: Vec<Option<usize>> = Vec::new();
     for i in 0..spec.num_clusters() {
         match reps
             .iter()
             .position(|&r| spec.clusters[r] == spec.clusters[i] && us[r] == us[i])
         {
-            Some(c) => class_of.push(c),
+            Some(c) => {
+                class_of.push(c);
+                sizes[c] += 1.0;
+                seconds[c].get_or_insert(i);
+            }
             None => {
                 class_of.push(reps.len());
                 reps.push(i);
+                sizes.push(1.0);
+                seconds.push(None);
             }
         }
     }
 
-    // Evaluate each class once.
+    // Evaluate each class once. The destination classes seen from a
+    // representative are the same partition minus the representative
+    // itself, so its own class (if it has other members) is first met at
+    // its second member; ordering by first member reproduces the grouping
+    // `inter_latency_with_us` would build, without rescanning every
+    // cluster per class.
     let mut class_results: Vec<(IntraBreakdown, InterBreakdown)> = Vec::with_capacity(reps.len());
-    for &r in &reps {
+    let mut dests: Vec<(usize, f64)> = Vec::with_capacity(reps.len());
+    for (c, &r) in reps.iter().enumerate() {
+        dests.clear();
+        for (d, (&rep, &size)) in reps.iter().zip(&sizes).enumerate() {
+            if d != c {
+                dests.push((rep, size));
+            } else if let Some(second) = seconds[d] {
+                dests.push((second, size - 1.0));
+            }
+        }
+        dests.sort_by_key(|&(j, _)| j);
         let intra = intra_latency_with_u(spec, wl, r, opts, us[r])?;
-        let inter = inter_latency_with_us(spec, wl, r, opts, us)?;
+        let inter = inter_latency_over(spec, wl, r, opts, us, &dests)?;
         class_results.push((intra, inter));
     }
 
@@ -255,6 +279,29 @@ mod tests {
         let out = evaluate(&s, &wl(1e-4), &ModelOptions::default()).unwrap();
         for c in &out.per_cluster {
             assert_eq!(c.mean, out.per_cluster[0].mean);
+        }
+    }
+
+    #[test]
+    fn class_grouped_inter_terms_match_the_per_cluster_grouping_bitwise() {
+        // Interleaved classes: each source's own class is met again only
+        // after other classes, so the accumulation order is exercised.
+        let s = spec(4, &[2, 1, 3, 1, 2, 3, 3, 1]);
+        let (w, opts) = (wl(5e-5), ModelOptions::default());
+        let out = evaluate(&s, &w, &opts).unwrap();
+        // Each class is evaluated at its first member and shared.
+        for c in &out.per_cluster {
+            let first = (0..c.cluster).find(|&j| s.clusters[j] == s.clusters[c.cluster]);
+            let rep = first.unwrap_or(c.cluster);
+            let direct = crate::inter::inter_latency(&s, &w, rep, &opts).unwrap();
+            for (a, b) in [
+                (c.inter.source_wait, direct.source_wait),
+                (c.inter.network, direct.network),
+                (c.inter.tail, direct.tail),
+                (c.inter.condis_wait, direct.condis_wait),
+            ] {
+                assert_eq!(a.to_bits(), b.to_bits(), "cluster {}", c.cluster);
+            }
         }
     }
 

@@ -307,12 +307,18 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Consume the run of plain characters up to the next
+                    // quote or escape. Both delimiters are ASCII, so the
+                    // run is whole UTF-8 scalars and validating it costs
+                    // O(run) — not O(rest of input) per character, which
+                    // made parsing quadratic in the file size.
+                    let start = self.pos;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -375,6 +381,8 @@ mod tests {
             ("b".into(), Value::Str("x \"y\"\n".into())),
             ("c".into(), Value::Null),
             ("d".into(), Value::Bool(true)),
+            // Multi-byte scalars between escapes.
+            ("λ".into(), Value::Str("ψ → ü\\tλ\"".into())),
         ]);
         let compact = to_string(&v).unwrap();
         let back: Value = from_str(&compact).unwrap();
@@ -401,5 +409,6 @@ mod tests {
         assert!(from_str::<Value>("{\"a\": }").is_err());
         assert!(from_str::<Value>("[1, 2,,]").is_err());
         assert!(from_str::<Value>("nulll").is_err());
+        assert!(from_str::<Value>("\"unterminated ψ").is_err());
     }
 }

@@ -736,9 +736,9 @@ struct LazyState {
 /// Reads after materialization are lock-free: record ids live in dense
 /// atomic arrays (or travel inside `RouteRef`s), and record/channel words
 /// live in append-only chunked arenas. First-touch materialization is
-/// serialized by one write lock with a double-check, so engines sharing
-/// the table across threads (the sharded engine, parallel replications)
-/// materialize each class exactly once.
+/// serialized by one write lock with a double-check, so runs sharing
+/// the table across threads (parallel replications) materialize each
+/// class exactly once.
 #[derive(Debug)]
 pub struct ClassedTable {
     icn1: Vec<Arc<AnyTopology>>,
@@ -1648,16 +1648,6 @@ impl BuiltSystem {
         self.node_cluster[f] as usize
     }
 
-    /// Cluster owning a global channel (`None` for ICN2 fabric channels).
-    /// Every ICN1 and ECN1 channel belongs to exactly one cluster; this is
-    /// the sharded engine's channel → shard partition map.
-    pub fn channel_cluster(&self, chan: u32) -> Option<usize> {
-        match self.network_of(chan) {
-            ("ICN2", _) => None,
-            (_, i) => Some(i),
-        }
-    }
-
     /// Which network a global channel belongs to, for diagnostics:
     /// `("ICN1", i)`, `("ECN1", i)` or `("ICN2", 0)`.
     pub fn network_of(&self, chan: u32) -> (&'static str, usize) {
@@ -1867,22 +1857,6 @@ impl BuiltSystem {
         (metas, 3)
     }
 
-    /// The smallest single-channel crossing time on the inter-cluster
-    /// fabric (every ECN1 and ICN2 channel) — the concrete-channel form
-    /// of [`SystemSpec::intercluster_lookahead`], taken over the built
-    /// channel table. This is the sharded engine's conservative sync
-    /// lookahead: a message emitted into the inter-cluster fabric at `t`
-    /// cannot request a channel on another shard before `t + Δ`.
-    pub fn min_intercluster_channel_time(&self) -> f64 {
-        // Channel numbering is all ICN1s, then all ECN1s, then ICN2, so
-        // everything at or past the first ECN1 offset is boundary fabric.
-        let from = self.ecn1_off.first().copied().unwrap_or(self.icn2_off) as usize;
-        self.chan_time[from..]
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// Like [`BuiltSystem::segments_for`], but with per-message random
     /// ascent digits — the oblivious-adaptive routing variant (paper ref
     /// \[7\] contrasts adaptive wormhole routing with the deterministic
@@ -1964,10 +1938,6 @@ pub struct CachedRoute {
 /// bit-identical routes. Entries are never evicted: the key space per
 /// run is bounded by (pairs × kᵈⁱᵍⁱᵗˢ) and in practice by the far
 /// smaller set of combinations the traffic pattern actually draws.
-///
-/// The sharded engine additionally uses the arena as its shared
-/// read-only route store: a message carries a cache index instead of a
-/// per-slot copy, so routes survive cross-shard handoffs.
 #[derive(Debug, Default)]
 pub struct AdaptiveRouteCache {
     map: std::collections::HashMap<(u64, u64), u32>,
@@ -2018,7 +1988,7 @@ impl AdaptiveRouteCache {
             Some((src as u64 * built.total_nodes() as u64 + dst as u64, code))
         } else {
             // Unpackable digit strings (absurdly deep trees): build
-            // uncached — still arena-backed so sharding works.
+            // uncached, appending a fresh arena entry.
             None
         };
         let idx = match key.and_then(|k| self.map.get(&k).copied()) {

@@ -76,57 +76,6 @@ impl std::fmt::Display for SchedulerKind {
     }
 }
 
-/// Intra-run sharding of the worm engine's event loop.
-///
-/// `Off` (the default) runs the classic serial loop — the golden oracle.
-/// `Auto` and `N(k)` partition the loop into per-cluster shards plus one
-/// ICN2 hub shard, synchronized conservatively on the inter-cluster
-/// channel crossing time (see the README's "Intra-run sharding" section).
-/// Sharded runs are bit-identical to the serial engine; the mode only
-/// changes wall-clock cost, like [`SchedulerKind`]. Scenario files select
-/// it with `"sim": {"shards": "Auto"}` or `{"shards": {"N": 4}}`; the CLI
-/// with `--shards off|auto|<k>`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ShardMode {
-    /// Serial event loop (default; the reference engine).
-    #[default]
-    Off,
-    /// One shard per cluster. Machine-independent: the partition (and
-    /// therefore the result bits) never depends on the core count; only
-    /// the worker-thread pool running the shards does.
-    Auto,
-    /// Exactly this many cluster shards (clamped to the cluster count;
-    /// the ICN2 hub shard is always added on top).
-    N(u32),
-}
-
-impl std::str::FromStr for ShardMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "off" => Ok(ShardMode::Off),
-            "auto" => Ok(ShardMode::Auto),
-            other => match other.parse::<u32>() {
-                Ok(n) if n >= 1 => Ok(ShardMode::N(n)),
-                _ => Err(format!(
-                    "unknown shard mode {other:?} (use \"off\", \"auto\", or a count >= 1)"
-                )),
-            },
-        }
-    }
-}
-
-impl std::fmt::Display for ShardMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardMode::Off => f.write_str("off"),
-            ShardMode::Auto => f.write_str("auto"),
-            ShardMode::N(n) => write!(f, "{n}"),
-        }
-    }
-}
-
 /// How `BuiltSystem` interns deterministic routes into its `RouteTable`.
 ///
 /// `Classed` (the default) interns one route *tail* per equivalence class —
@@ -358,10 +307,6 @@ pub struct SimConfig {
     pub scheduler: SchedulerKind,
     /// Fault injection (see [`FaultSchedule`]); inert by default.
     pub faults: FaultSchedule,
-    /// Intra-run sharding of the worm engine (see [`ShardMode`]). Never
-    /// changes results — sharded runs are bit-identical to serial — only
-    /// wall-clock cost. Off by default; the flit engine ignores it.
-    pub shards: ShardMode,
     /// Route-table interning strategy (see [`InternMode`]). Never changes
     /// results — class-keyed tables are bit-identical to the eager oracle —
     /// only build time and resident bytes. Classed by default.
@@ -385,7 +330,6 @@ impl Default for SimConfig {
             audit_warmup: false,
             scheduler: SchedulerKind::default(),
             faults: FaultSchedule::default(),
-            shards: ShardMode::default(),
             interning: InternMode::default(),
         }
     }
@@ -410,7 +354,6 @@ impl SimConfig {
             audit_warmup: false,
             scheduler: SchedulerKind::default(),
             faults: FaultSchedule::default(),
-            shards: ShardMode::default(),
             interning: InternMode::default(),
         }
     }
@@ -445,18 +388,6 @@ mod tests {
         assert!("ladder".parse::<SchedulerKind>().is_err());
         assert_eq!(SchedulerKind::Calendar.to_string(), "calendar");
         assert_eq!(SimConfig::default().scheduler, SchedulerKind::Heap);
-    }
-
-    #[test]
-    fn shard_mode_parses_cli_names() {
-        assert_eq!("off".parse::<ShardMode>(), Ok(ShardMode::Off));
-        assert_eq!("auto".parse::<ShardMode>(), Ok(ShardMode::Auto));
-        assert_eq!("4".parse::<ShardMode>(), Ok(ShardMode::N(4)));
-        assert!("0".parse::<ShardMode>().is_err());
-        assert!("Auto".parse::<ShardMode>().is_err());
-        assert_eq!(ShardMode::N(3).to_string(), "3");
-        assert_eq!(ShardMode::Auto.to_string(), "auto");
-        assert_eq!(SimConfig::default().shards, ShardMode::Off);
     }
 
     #[test]

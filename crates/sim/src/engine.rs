@@ -217,15 +217,14 @@ struct Simulator<'a, S: Scheduler<EventKind>, const TRACE: bool> {
     /// for the MSER-5 warm-up audit (when enabled).
     audit: Option<Vec<f64>>,
     /// Recorded/audited deliveries, buffered so the statistic sinks can
-    /// be replayed in the canonical (pop time, src, gen_time) order at
-    /// the end of the run — see [`crate::shard::delivery_order`]. Stop
-    /// decisions still use the immediate counters; only the f64
-    /// accumulation order is deferred, so event execution is untouched
-    /// and non-tied runs keep their exact bits.
+    /// be replayed in the engine's tie order ([`delivery_order`]) at the
+    /// end of the run. Stop decisions still use the immediate counters;
+    /// only the f64 accumulation order is deferred, so event execution is
+    /// untouched and non-tied runs keep their exact bits.
     deliveries: Vec<DeliveryRec>,
 }
 
-/// A buffered delivery awaiting canonical-order sink accumulation.
+/// A buffered delivery awaiting sink accumulation in [`delivery_order`].
 #[derive(Debug, Clone, Copy)]
 struct DeliveryRec {
     /// Pop time of the delivering `Advance`.
@@ -237,6 +236,23 @@ struct DeliveryRec {
     audited: bool,
     intra: bool,
     src_cluster: u32,
+}
+
+/// The engine's tie order for delivered statistics: pop time of the
+/// delivering `Advance`, then the message's (source node, generation
+/// time) identity for same-instant ties.
+///
+/// Same-instant deliveries are real, not measure-zero: one multi-channel
+/// release can unblock two messages at once, and a symmetric topology
+/// then finishes both remaining paths in bit-equal time (the Fig. 3–6
+/// sweeps hit such ties even at `--quick` size). Online sinks are
+/// order-sensitive in the last f64 bit, so the order is part of the
+/// published numbers: sinks are fed by message identity rather than by
+/// schedule sequence.
+fn delivery_order(a: &DeliveryRec, b: &DeliveryRec) -> std::cmp::Ordering {
+    a.t.total_cmp(&b.t)
+        .then_with(|| a.src.cmp(&b.src))
+        .then_with(|| a.gen_time.total_cmp(&b.gen_time))
 }
 
 impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
@@ -438,19 +454,16 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
         )
     }
 
-    /// Replay the buffered deliveries into the statistic sinks in the
-    /// canonical (pop time, src, gen_time) order.
+    /// Replay the buffered deliveries into the statistic sinks in
+    /// [`delivery_order`].
     ///
     /// The buffer arrives in pop order — already nondecreasing in time —
-    /// so the stable sort only rearranges bit-equal-time ties, and it
-    /// rearranges them exactly the way the sharded coordinator's merge
-    /// does. Everything the simulation's control flow depends on
-    /// (`recorded_done`, the measured stop, event execution) happened
-    /// immediately; this pass only fixes the f64 accumulation order.
+    /// so the stable sort only rearranges bit-equal-time ties. Everything
+    /// the simulation's control flow depends on (`recorded_done`, the
+    /// measured stop, event execution) happened immediately; this pass
+    /// only fixes the f64 accumulation order.
     fn flush_deliveries(&mut self) {
-        self.deliveries.sort_by(|a, b| {
-            crate::shard::delivery_order((a.t, a.src, a.gen_time), (b.t, b.src, b.gen_time))
-        });
+        self.deliveries.sort_by(delivery_order);
         for d in &self.deliveries {
             if d.audited {
                 if let Some(a) = &mut self.audit {
@@ -725,9 +738,8 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
             self.trace(m.trace_id, finish, TraceEventKind::Delivered { latency });
             if m.audited || m.recorded {
                 // Sink accumulation is deferred to `flush_deliveries` so
-                // same-instant ties land in the canonical order shared
-                // with the sharded engine; only the stop-driving counter
-                // advances here.
+                // same-instant ties land in `delivery_order`; only the
+                // stop-driving counter advances here.
                 self.deliveries.push(DeliveryRec {
                     t,
                     latency,
@@ -856,9 +868,6 @@ fn dispatch(
     cfg: SimConfig,
     arrival: ArrivalSpec,
 ) -> SimResults {
-    if crate::shard::sharding_eligible(built, &cfg) {
-        return crate::shard::run_sharded(built, wl, pattern, &cfg, &arrival);
-    }
     type Heap = EventQueue<EventKind>;
     type Calendar = CalendarQueue<EventKind>;
     match (cfg.scheduler, cfg.trace_messages > 0) {
@@ -946,7 +955,6 @@ mod tests {
             audit_warmup: false,
             scheduler: SchedulerKind::default(),
             faults: crate::config::FaultSchedule::default(),
-            shards: crate::config::ShardMode::Off,
             interning: crate::config::InternMode::default(),
         }
     }

@@ -90,13 +90,6 @@ pub trait Scheduler<K> {
     /// Removes and returns the earliest event (insertion order on ties).
     fn pop(&mut self) -> Option<Timed<K>>;
 
-    /// Time of the event the next [`Scheduler::pop`] would return, without
-    /// removing it. Takes `&mut self` so backends may advance internal
-    /// cursors (the calendar's day rotation) exactly as the pop would —
-    /// the pending set and the pop order are unchanged. The windowed
-    /// sharded engine leans on this to find its next sync horizon.
-    fn peek_time(&mut self) -> Option<f64>;
-
     /// Number of pending events.
     fn len(&self) -> usize;
 
@@ -132,11 +125,6 @@ impl<K> Scheduler<K> for EventQueue<K> {
     #[inline]
     fn pop(&mut self) -> Option<Timed<K>> {
         self.heap.pop()
-    }
-
-    #[inline]
-    fn peek_time(&mut self) -> Option<f64> {
-        self.heap.peek().map(|ev| ev.time)
     }
 
     fn len(&self) -> usize {
@@ -431,44 +419,6 @@ impl<K> Scheduler<K> for CalendarQueue<K> {
         }
     }
 
-    fn peek_time(&mut self) -> Option<f64> {
-        if self.len == 0 {
-            return None;
-        }
-        // The same rotation walk as `pop`, stopping with the cursor ON the
-        // due day instead of removing the event: the following pop re-runs
-        // the (now trivial) walk and finds the same front event.
-        loop {
-            while self.day < self.year_end {
-                let idx = self.bucket_of(self.day);
-                if let Some(ev) = self.buckets[idx].front() {
-                    if self.day_of(ev.time) <= self.day {
-                        return Some(ev.time);
-                    }
-                }
-                self.day += 1;
-            }
-            debug_assert_eq!(self.band_len, 0, "exhausted year left band events behind");
-            let next = self
-                .overflow
-                .peek()
-                .expect("len > 0 with an empty band implies overflow events");
-            self.day = self.day_of(next.time);
-            self.year_end = self.day + self.buckets.len() as i64;
-            if self.year_max_band * 4 < self.buckets.len() && self.buckets.len() > MIN_BUCKETS {
-                let halved = self.buckets.len() / 2;
-                self.resize(halved);
-            } else {
-                self.migrate_overflow();
-            }
-            while self.band_len > self.buckets.len() * 2 {
-                let doubled = self.buckets.len() * 2;
-                self.resize(doubled);
-            }
-            self.year_max_band = self.band_len;
-        }
-    }
-
     fn len(&self) -> usize {
         self.len
     }
@@ -647,42 +597,5 @@ mod tests {
     fn empty_pop_is_none_for_both() {
         assert!(EventQueue::<u8>::new().pop().is_none());
         assert!(CalendarQueue::<u8>::new().pop().is_none());
-    }
-
-    fn check_peek_matches_pop<S: Scheduler<usize>>() {
-        let mut q = S::new();
-        assert_eq!(q.peek_time(), None);
-        for i in 0..500usize {
-            let t = ((i * 7919) % 251) as f64 * 0.5;
-            q.schedule(t, i);
-        }
-        // Every peek must equal the following pop's time, and an insert
-        // below the peeked head must rewind the peek to it.
-        let mut inserted = false;
-        for n in 0..501usize {
-            let peeked = q.peek_time().unwrap();
-            if n == 100 && !inserted {
-                // Head after 100 pops is well above 0; halving it makes
-                // the insert the strict new minimum.
-                assert!(peeked > 0.0);
-                q.schedule(peeked * 0.5, 9_000);
-                assert_eq!(q.peek_time().unwrap(), peeked * 0.5);
-                inserted = true;
-                let ev = q.pop().unwrap();
-                assert_eq!(ev.kind, 9_000);
-                assert_eq!(ev.time, peeked * 0.5);
-                continue;
-            }
-            let ev = q.pop().unwrap();
-            assert_eq!(ev.time, peeked);
-        }
-        assert_eq!(q.peek_time(), None);
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn peek_time_matches_pop_for_both() {
-        check_peek_matches_pop::<EventQueue<usize>>();
-        check_peek_matches_pop::<CalendarQueue<usize>>();
     }
 }

@@ -35,7 +35,6 @@ pub mod events;
 pub mod flit;
 pub mod replicate;
 pub mod results;
-pub mod shard;
 pub mod trace;
 
 pub use build::{
@@ -43,8 +42,7 @@ pub use build::{
     RouteRef, RouteTable, SegMeta, Segment,
 };
 pub use config::{
-    Coupling, FaultAction, FaultEvent, FaultSchedule, InternMode, SchedulerKind, ShardMode,
-    SimConfig,
+    Coupling, FaultAction, FaultEvent, FaultSchedule, InternMode, SchedulerKind, SimConfig,
 };
 pub use engine::{run_simulation, run_simulation_arrivals, run_simulation_built};
 pub use events::{CalendarQueue, EventQueue, Scheduler, Timed};

@@ -242,23 +242,6 @@ impl SystemSpec {
         MPortNTree::new(self.m, self.icn2_height().expect("validated")).expect("validated")
     }
 
-    /// Conservative-synchronization lookahead of the two-level structure:
-    /// the smallest single-channel crossing time on any inter-cluster
-    /// path (ECN1 ascent/descent channels and the ICN2 crossing). A
-    /// message leaving one cluster for another cannot affect the
-    /// destination cluster sooner than this after entering the
-    /// inter-cluster fabric, so a sharded simulator may advance each
-    /// cluster independently by this much past the global frontier
-    /// without missing a causal dependency (classic Chandy–Misra/YAWNS
-    /// lookahead). Strictly positive for every valid spec.
-    pub fn intercluster_lookahead(&self, flit_bytes: f64) -> f64 {
-        let mut la = self.icn2.t_cn(flit_bytes).min(self.icn2.t_cs(flit_bytes));
-        for c in &self.clusters {
-            la = la.min(c.ecn1.t_cn(flit_bytes)).min(c.ecn1.t_cs(flit_bytes));
-        }
-        la
-    }
-
     /// Probability that a message born in cluster `i` leaves the cluster,
     /// Eq. (2): `U_i = 1 − (N_i − 1)/(N − 1)` (uniform destinations).
     pub fn outgoing_probability(&self, i: usize) -> f64 {
@@ -343,23 +326,6 @@ mod tests {
     fn icn2_height_solves_cluster_count() {
         // C=4, m=4: 2*2^1 = 4 -> n_c = 1.
         assert_eq!(toy().icn2_height().unwrap(), 1);
-    }
-
-    #[test]
-    fn intercluster_lookahead_is_min_crossing_time() {
-        let s = toy();
-        let la = s.intercluster_lookahead(256.0);
-        assert!(la > 0.0, "lookahead must be strictly positive");
-        assert!(la <= s.icn2.t_cn(256.0));
-        assert!(la <= s.clusters[0].ecn1.t_cs(256.0));
-        // The slowest network bounds it from below: it is a min over
-        // concrete channel times, not an average.
-        let floor = s
-            .clusters
-            .iter()
-            .map(|c| c.ecn1.t_cn(256.0).min(c.ecn1.t_cs(256.0)))
-            .fold(s.icn2.t_cn(256.0).min(s.icn2.t_cs(256.0)), f64::min);
-        assert_eq!(la, floor);
     }
 
     #[test]

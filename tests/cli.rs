@@ -252,6 +252,14 @@ fn run_subcommand_rejects_unknowns() {
     let (_, stderr, ok) = run(&["run", "fig5", "--points", "0"]);
     assert!(!ok);
     assert!(stderr.contains("--points"), "{stderr}");
+    // A removed flag is an unknown flag: a usage error (exit 2), not a
+    // silently ignored option.
+    let out = Command::new(env!("CARGO_BIN_EXE_cocnet"))
+        .args(["run", "fig5", "--shards", "auto"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--shards"));
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //! and say so loudly in the PR.
 
 use cocnet::prelude::*;
-use cocnet::sim::{run_simulation_flit, Coupling, InternMode, SchedulerKind, ShardMode};
+use cocnet::sim::{run_simulation_flit, Coupling, InternMode, SchedulerKind};
 
 fn hetero_spec() -> SystemSpec {
     let net1 = NetworkCharacteristics::new(500.0, 0.01, 0.02).unwrap();
@@ -46,18 +46,15 @@ fn cfg_with(seed: u64, scheduler: SchedulerKind) -> SimConfig {
         drain: 500,
         seed,
         scheduler,
-        shards: SHARDS.with(|s| s.get()),
         interning: INTERN.with(|i| i.get()),
         ..SimConfig::default()
     }
 }
 
 // Threaded into every observed config so the same pinned table checks
-// the serial oracle and the cluster-sharded engine alike — and, since
-// PR 9, the class-keyed route table (the default) against the eager
-// all-pairs interning oracle.
+// the class-keyed route table (the default) against the eager all-pairs
+// interning oracle.
 thread_local! {
-    static SHARDS: std::cell::Cell<ShardMode> = const { std::cell::Cell::new(ShardMode::Off) };
     static INTERN: std::cell::Cell<InternMode> =
         const { std::cell::Cell::new(InternMode::Classed) };
 }
@@ -215,12 +212,8 @@ const GOLDEN: &[Golden] = &[
 /// Checks one backend's observations against the pinned constants.
 fn assert_matches_golden(scheduler: SchedulerKind) {
     let observed = observe(scheduler);
-    check_golden(scheduler, &observed);
-}
-
-fn check_golden(scheduler: SchedulerKind, observed: &[(&'static str, cocnet::sim::SimResults)]) {
     assert_eq!(observed.len(), GOLDEN.len());
-    for (g, (name, r)) in GOLDEN.iter().zip(observed) {
+    for (g, (name, r)) in GOLDEN.iter().zip(&observed) {
         assert_eq!(g.name, *name, "case order changed");
         assert!(r.completed, "{name} [{scheduler}]: run must complete");
         assert_eq!(
@@ -266,35 +259,16 @@ fn calendar_scheduler_matches_the_same_goldens() {
 }
 
 #[test]
-fn sharded_engine_matches_the_same_goldens() {
-    // Intra-run sharding is likewise pure mechanism: the cluster-sharded
-    // parallel engine must reproduce the PR-1 seed statistics f64-bit-
-    // exactly on every pinned case, under both scheduler backends. (The
-    // flit-level case ignores the mode and runs serial.)
-    for shards in [ShardMode::Auto, ShardMode::N(2)] {
-        SHARDS.with(|s| s.set(shards));
-        for scheduler in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            let observed = observe(scheduler);
-            check_golden(scheduler, &observed);
-        }
-    }
-    SHARDS.with(|s| s.set(ShardMode::Off));
-}
-
-#[test]
 fn eager_interning_oracle_matches_the_same_goldens() {
     // Route interning is pure mechanism too: the class-keyed table (the
     // default every other test in this file now runs on) and the eager
     // all-pairs oracle must reproduce the PR-1 seed statistics f64-bit-
-    // exactly — under both schedulers, and serial as well as sharded.
-    // With the other tests pinning the classed path, this is the end-to-
-    // end classed-vs-eager determinism cross-check.
+    // exactly — under both schedulers. With the other tests pinning the
+    // classed path, this is the end-to-end classed-vs-eager determinism
+    // cross-check.
     INTERN.with(|i| i.set(InternMode::Eager));
     for scheduler in [SchedulerKind::Heap, SchedulerKind::Calendar] {
         assert_matches_golden(scheduler);
     }
-    SHARDS.with(|s| s.set(ShardMode::N(2)));
-    assert_matches_golden(SchedulerKind::Heap);
-    SHARDS.with(|s| s.set(ShardMode::Off));
     INTERN.with(|i| i.set(InternMode::Classed));
 }

@@ -174,13 +174,12 @@ fn degradation_file_is_deterministic_and_degrades_gracefully() {
 /// non-tree registry entry: four 4×4 torus clusters under an m=4 ICN2
 /// tree. The twin comparison above already pins file == registry; this
 /// pins the determinism contract of the torus backend itself — the sweep
-/// is f64-bit-identical across the serial and cluster-sharded engines on
-/// both scheduler backends, and (being sim-only) the spec is outside the
-/// analytical model's coverage.
+/// is f64-bit-identical across both scheduler backends, and (being
+/// sim-only) the spec is outside the analytical model's coverage.
 #[test]
 fn torus_file_is_bit_identical_across_engines_and_schedulers() {
     use cocnet::model::{coverage, ModelCoverage};
-    use cocnet::sim::{SchedulerKind, ShardMode};
+    use cocnet::sim::SchedulerKind;
 
     let path = scenarios_dir().join("torus_sweep.json");
     let mut scenario = load(&path);
@@ -193,45 +192,28 @@ fn torus_file_is_bit_identical_across_engines_and_schedulers() {
     scenario.rates = scenario.rates.with_steps(3);
     scenario.replications = 1;
 
-    // `peak_live_msgs` is documented shard-local (the sharded engine
-    // reports its largest per-shard slab, the serial engine the global
-    // one); every other field must match to the bit.
     let dump = |detailed: &[Vec<cocnet::runner::PointSim>]| -> Vec<String> {
         detailed
             .iter()
             .flatten()
             .flat_map(|p| p.runs.iter())
-            .map(|r| {
-                let mut r = r.clone();
-                r.peak_live_msgs = 0;
-                serde_json::to_string(&r).unwrap()
-            })
+            .map(|r| serde_json::to_string(r).unwrap())
             .collect()
     };
 
-    let mut variants = Vec::new();
-    for scheduler in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-        for shards in [ShardMode::Off, ShardMode::Auto] {
-            let mut s = scenario.clone();
-            s.sim.scheduler = scheduler;
-            s.sim.shards = shards;
-            variants.push((
-                format!("{scheduler:?}/{shards:?}"),
-                dump(&s.run_sim_detailed()),
-            ));
-        }
-    }
-    let (base_name, base) = &variants[0];
+    scenario.sim.scheduler = SchedulerKind::Heap;
+    let heap = dump(&scenario.run_sim_detailed());
     assert!(
-        base.iter().any(|r| !r.is_empty()),
+        heap.iter().any(|r| !r.is_empty()),
         "tiny torus run produced no points at all"
     );
-    for (name, output) in &variants[1..] {
-        assert_eq!(
-            base, output,
-            "torus sweep must be bit-identical between {base_name} and {name}"
-        );
-    }
+    let mut calendar = scenario.clone();
+    calendar.sim.scheduler = SchedulerKind::Calendar;
+    assert_eq!(
+        heap,
+        dump(&calendar.run_sim_detailed()),
+        "torus sweep must be bit-identical between heap and calendar schedulers"
+    );
 }
 
 /// The committed `org_scale.json` is the standalone 2048-endpoint profile

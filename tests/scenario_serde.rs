@@ -78,6 +78,9 @@ fn sim_config_round_trip_default_and_unknown() {
     // Typos fail loudly.
     let err = serde_json::from_str::<SimConfig>(r#"{"sede": 9}"#).unwrap_err();
     assert!(err.to_string().contains("sede"), "{err}");
+    // A field removed from the format is an unknown field like any other.
+    let err = serde_json::from_str::<SimConfig>(r#"{"shards": "Auto"}"#).unwrap_err();
+    assert!(err.to_string().contains("shards"), "{err}");
 }
 
 #[test]
@@ -105,34 +108,6 @@ fn scheduler_field_round_trips_and_defaults_to_heap() {
     let json = serde_json::to_string_pretty(&s).unwrap();
     let back: Scenario = serde_json::from_str(&json).unwrap();
     assert_eq!(back.sim.scheduler, SchedulerKind::Calendar);
-    back.validate().unwrap();
-}
-
-#[test]
-fn shards_field_round_trips_and_defaults_to_off() {
-    use cocnet::sim::ShardMode;
-    // Files predating the field stay on the serial engine.
-    let parsed: SimConfig = serde_json::from_str(r#"{"seed": 9}"#).unwrap();
-    assert_eq!(parsed.shards, ShardMode::Off);
-    // Bare variant name for the symbolic modes, {"N": k} for a count.
-    let parsed: SimConfig = serde_json::from_str(r#"{"shards": "Auto"}"#).unwrap();
-    assert_eq!(parsed.shards, ShardMode::Auto);
-    let parsed: SimConfig = serde_json::from_str(r#"{"shards": {"N": 4}}"#).unwrap();
-    assert_eq!(parsed.shards, ShardMode::N(4));
-    let cfg = SimConfig {
-        shards: ShardMode::Auto,
-        ..SimConfig::default()
-    };
-    assert_eq!(round_trip(&cfg), cfg);
-    assert!(serde_json::to_string(&cfg).unwrap().contains(r#""Auto""#));
-    // An unknown mode fails loudly.
-    assert!(serde_json::from_str::<SimConfig>(r#"{"shards": "Many"}"#).is_err());
-    // And a scenario threads it through validation unchanged.
-    let mut s = scenario();
-    s.sim.shards = ShardMode::N(2);
-    let json = serde_json::to_string_pretty(&s).unwrap();
-    let back: Scenario = serde_json::from_str(&json).unwrap();
-    assert_eq!(back.sim.shards, ShardMode::N(2));
     back.validate().unwrap();
 }
 
