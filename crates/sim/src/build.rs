@@ -11,6 +11,7 @@ use cocnet_topology::{
     AnyTopology, AscentPolicy, ChannelId, ChannelKind, FaultSet, SystemSpec, TopoSpec, Topology,
     TopologyError, TorusShape,
 };
+use cocnet_workloads::NodeLayout;
 use rand::Rng;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
@@ -1315,6 +1316,8 @@ pub struct BuiltSystem {
     /// Flat-node → (cluster, local) lookup.
     node_cluster: Arc<Vec<u32>>,
     node_local: Arc<Vec<u32>>,
+    /// Cluster offsets for per-message destination sampling.
+    layout: NodeLayout,
     /// Up*/Down* ascent policy used for every route.
     policy: AscentPolicy,
     /// Every deterministic route, interned per class or per pair (see
@@ -1603,6 +1606,7 @@ impl BuiltSystem {
             chan_time,
             node_cluster,
             node_local,
+            layout: NodeLayout::new(spec),
             policy,
             routes,
             failed,
@@ -1636,6 +1640,17 @@ impl BuiltSystem {
     /// Per-flit transfer time of global channel `c`.
     pub fn chan_time(&self, c: u32) -> f64 {
         self.chan_time[c as usize]
+    }
+
+    /// Per-flit transfer time of every global channel, indexed by id.
+    pub fn chan_times(&self) -> &[f64] {
+        &self.chan_time
+    }
+
+    /// The flat node numbering, resolved once for destination sampling
+    /// ([`cocnet_workloads::Pattern::sample_in`]).
+    pub fn node_layout(&self) -> &NodeLayout {
+        &self.layout
     }
 
     /// Total number of processing nodes (flat indexing).

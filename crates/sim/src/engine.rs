@@ -13,6 +13,24 @@
 //! Events are processed in `(time, sequence)` order, so runs are exactly
 //! reproducible for a given seed.
 //!
+//! # Cost follows the traffic
+//!
+//! A run's set-up and per-event cost grow with the messages it simulates,
+//! not with the size of the network:
+//!
+//! * per-channel state is a few dense arrays whose all-zero bit pattern is
+//!   the initial state, allocated zeroed, so the pages of channels the
+//!   traffic never reaches are never materialised; crossing times are read
+//!   from the [`BuiltSystem`]'s shared table, and the end-of-run busy flush
+//!   walks only the channels acquired during the run;
+//! * each node's next `Generate` waits in a generate list of its own
+//!   (primed by an O(N) heapify) whose sequence numbers the scheduler
+//!   reserves, so traffic events pay for a scheduler of the in-flight
+//!   population while the merged pop order stays the single `(time, seq)`
+//!   order;
+//! * destinations are drawn through the system's [`NodeLayout`], built
+//!   once with the [`BuiltSystem`].
+//!
 //! # No-allocation invariant
 //!
 //! The event loop is **allocation-free in steady state**, and every change
@@ -27,8 +45,12 @@
 //!   slot onto a free list, so the live-message footprint is bounded by
 //!   the peak in-flight population (reported as
 //!   [`SimResults::peak_live_msgs`]), not by the run length;
-//! * the event heap, per-channel FIFOs and arena buffers all retain their
-//!   capacity, so a warmed-up loop performs no allocator calls at all;
+//! * per-channel wait FIFOs are intrusive: a channel holds the head and
+//!   tail slot of its queue and each message the link to the next, so
+//!   blocking a header never allocates;
+//! * the scheduler, the generate list, the touched-channel list and the
+//!   arena buffers all retain their capacity, so a warmed-up loop performs
+//!   no allocator calls at all;
 //! * tracing is compiled out of the hot path via the `TRACE` const
 //!   generic — with `trace_messages == 0` the per-event trace branches
 //!   do not exist in the monomorphised engine.
@@ -36,12 +58,13 @@
 //! [`RouteRef`]: crate::build::RouteRef
 //! [`RouteTable`]: crate::build::RouteTable
 //! [`SimResults::peak_live_msgs`]: crate::results::SimResults::peak_live_msgs
+//! [`NodeLayout`]: cocnet_workloads::NodeLayout
 
 use crate::build::{
     AdaptiveRouteCache, AdaptiveScratch, BuiltSystem, RouteRef, RouteTable, SegMeta,
 };
 use crate::config::{Coupling, FaultAction, SchedulerKind, SimConfig};
-use crate::events::{CalendarQueue, EventQueue, Scheduler};
+use crate::events::{CalendarQueue, EventQueue, Scheduler, Timed};
 use crate::results::{exact_percentiles, SimResults, StopReason, WarmupAudit};
 use crate::trace::{MessageTrace, TraceEvent, TraceEventKind};
 use cocnet_model::Workload;
@@ -50,10 +73,12 @@ use cocnet_topology::SystemSpec;
 use cocnet_workloads::{ArrivalProcess, ArrivalSpec, Pattern};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::VecDeque;
+use std::collections::BinaryHeap;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum EventKind {
+    /// Kept in the simulator's generate list, never in the scheduler;
+    /// [`Simulator::next_event`] merges the two into one stream.
     Generate {
         node: u32,
     },
@@ -81,15 +106,13 @@ enum EventKind {
     },
 }
 
-#[derive(Debug)]
-struct Chan {
-    /// Per-flit transfer time.
-    t: f64,
-    /// Whether a message currently holds this channel.
-    busy: bool,
-    /// Messages waiting for the channel, FIFO.
-    queue: VecDeque<u32>,
-}
+/// [`Simulator::chan_state`] values. Zero is the initial state, so the
+/// array starts as untouched zero pages.
+const UNTOUCHED: u8 = 0;
+/// Acquired at least once this run (listed in `touched`), free now.
+const IDLE: u8 = 1;
+/// A message holds the channel.
+const HELD: u8 = 2;
 
 /// One in-flight message: a slab slot's worth of `Copy` state. The route
 /// itself lives in the interned table (or the adaptive arena); the current
@@ -127,6 +150,9 @@ struct Msg {
     dst: u32,
     /// Completed transmission attempts that hit a failed channel.
     attempt: u32,
+    /// The next message queued behind this one on the channel its header
+    /// waits for, as slot + 1 (0: none).
+    next_waiter: u32,
 }
 
 const UNTRACED: u32 = u32::MAX;
@@ -154,6 +180,7 @@ impl Msg {
         src: 0,
         dst: 0,
         attempt: 0,
+        next_waiter: 0,
     };
 }
 
@@ -175,10 +202,26 @@ struct Simulator<'a, S: Scheduler<EventKind>, const TRACE: bool> {
     arrivals: Vec<ArrivalProcess>,
     pattern: Pattern,
     rng: StdRng,
-    /// The future-event list — monomorphized per backend, no dyn
-    /// dispatch in the hot loop.
+    /// The future-event list of the traffic — monomorphized per backend,
+    /// no dyn dispatch in the hot loop.
     queue: S,
-    chans: Vec<Chan>,
+    /// Every node's next `Generate`, apart from the traffic so each
+    /// traffic event pays for a heap of the in-flight population rather
+    /// than of the node count. Sequence numbers come from `queue`, so
+    /// [`Simulator::next_event`] merges both into one `(time, seq)` order.
+    gens: BinaryHeap<Timed<u32>>,
+    /// Per-flit crossing time of every channel (the built system's).
+    chan_t: &'a [f64],
+    /// Per-channel state ([`UNTOUCHED`], [`IDLE`] or [`HELD`]). This and
+    /// the wait-queue ends below start all-zero, so a run only pays for
+    /// the pages of the channels its traffic reaches.
+    chan_state: Vec<u8>,
+    /// Head and tail of each channel's FIFO of waiting messages, as slot
+    /// + 1 (0: empty); the links run through [`Msg::next_waiter`].
+    wait_head: Vec<u32>,
+    wait_tail: Vec<u32>,
+    /// Channels acquired at least once, for the end-of-run busy flush.
+    touched: Vec<u32>,
     /// Message slab; `free` holds the slots of delivered messages.
     msgs: Vec<Msg>,
     free: Vec<u32>,
@@ -267,13 +310,6 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
             arrival.mean_rate() > 0.0,
             "simulation needs a positive generation rate"
         );
-        let chans = (0..built.num_channels())
-            .map(|c| Chan {
-                t: built.chan_time(c as u32),
-                busy: false,
-                queue: VecDeque::new(),
-            })
-            .collect();
         let histogram = cfg
             .histogram
             .map(|(hi, bins)| Histogram::new(0.0, hi, bins));
@@ -305,7 +341,12 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
             pattern,
             rng,
             queue: S::new(),
-            chans,
+            gens: BinaryHeap::new(),
+            chan_t: built.chan_times(),
+            chan_state: vec![UNTOUCHED; built.num_channels()],
+            wait_head: vec![0; built.num_channels()],
+            wait_tail: vec![0; built.num_channels()],
+            touched: Vec::new(),
             msgs: Vec::new(),
             free: Vec::new(),
             dyn_routes: Vec::new(),
@@ -381,10 +422,45 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
                 },
             );
         }
-        for node in 0..self.built.total_nodes() {
-            let t = self.arrivals[node].next_arrival(&mut self.rng);
-            self.queue
-                .schedule(t, EventKind::Generate { node: node as u32 });
+        let first: Vec<Timed<u32>> = (0..self.built.total_nodes())
+            .map(|node| Timed {
+                time: self.arrivals[node].next_arrival(&mut self.rng),
+                seq: self.queue.reserve_seq(),
+                kind: node as u32,
+            })
+            .collect();
+        // `From<Vec>` heapifies in O(N); N pushes would cost O(N log N).
+        self.gens = BinaryHeap::from(first);
+    }
+
+    /// Schedules `node`'s next `Generate` at `time`.
+    #[inline]
+    fn schedule_generate(&mut self, time: f64, node: u32) {
+        let seq = self.queue.reserve_seq();
+        self.gens.push(Timed {
+            time,
+            seq,
+            kind: node,
+        });
+    }
+
+    /// Pops the earliest event of the traffic scheduler and the generate
+    /// list together, in the `(time, seq)` order a single scheduler holding
+    /// both would pop.
+    #[inline]
+    fn next_event(&mut self) -> Option<Timed<EventKind>> {
+        let generate_first = match (self.gens.peek(), self.queue.peek()) {
+            (Some(g), Some((time, seq))) => g.time.total_cmp(&time).then(g.seq.cmp(&seq)).is_lt(),
+            (g, _) => g.is_some(),
+        };
+        if generate_first {
+            self.gens.pop().map(|g| Timed {
+                time: g.time,
+                seq: g.seq,
+                kind: EventKind::Generate { node: g.kind },
+            })
+        } else {
+            self.queue.pop()
         }
     }
 
@@ -395,7 +471,7 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
         // message was delivered or written off — graceful degradation,
         // not a hang.
         let mut stop = StopReason::Drained;
-        while let Some(ev) = self.queue.pop() {
+        while let Some(ev) = self.next_event() {
             self.events_processed += 1;
             if self.events_processed > self.cfg.max_events {
                 stop = StopReason::EventCap;
@@ -420,9 +496,9 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
         // Channels still holding a message when the run ends (event cap or
         // measured-complete break) have an open busy interval; flush it so
         // utilisation is not undercounted.
-        for chan in 0..self.chans.len() {
-            if self.chans[chan].busy {
-                self.busy_total[chan] += self.now - self.busy_since[chan];
+        for &chan in &self.touched {
+            if self.chan_state[chan as usize] == HELD {
+                self.busy_total[chan as usize] += self.now - self.busy_since[chan as usize];
             }
         }
         self.flush_deliveries();
@@ -574,7 +650,9 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
             return;
         }
         let src = node as usize;
-        let dst = self.pattern.sample(self.built.spec(), src, &mut self.rng);
+        let dst = self
+            .pattern
+            .sample_in(self.built.node_layout(), src, &mut self.rng);
         if self.routes.is_unreachable(src, dst) {
             // The destination is statically partitioned away: account the
             // message (generated + unreachable, never silently lost)
@@ -584,7 +662,7 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
             self.unreachable += 1;
             if self.generated < self.cfg.total_messages() {
                 let next = self.arrivals[node as usize].next_arrival(&mut self.rng);
-                self.queue.schedule(next, EventKind::Generate { node });
+                self.schedule_generate(next, node);
             }
             return;
         }
@@ -642,6 +720,7 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
             src: src as u32,
             dst: dst as u32,
             attempt: 0,
+            next_waiter: 0,
         };
         self.trace(
             trace_id,
@@ -656,7 +735,7 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
         if self.generated < self.cfg.total_messages() {
             let next = self.arrivals[node as usize].next_arrival(&mut self.rng);
             debug_assert!(next >= t, "arrival streams move forward");
-            self.queue.schedule(next, EventKind::Generate { node });
+            self.schedule_generate(next, node);
         }
     }
 
@@ -669,17 +748,26 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
             self.drop_msg(msg_id, chan, t);
             return;
         }
-        let c = &mut self.chans[chan as usize];
-        if c.busy {
-            c.queue.push_back(msg_id);
+        let c = chan as usize;
+        if self.chan_state[c] == HELD {
+            // Join the tail of the channel's wait FIFO.
+            self.msgs[msg_id as usize].next_waiter = 0;
+            match self.wait_tail[c] {
+                0 => self.wait_head[c] = msg_id + 1,
+                tail => self.msgs[tail as usize - 1].next_waiter = msg_id + 1,
+            }
+            self.wait_tail[c] = msg_id + 1;
             if TRACE {
                 let trace_id = self.msgs[msg_id as usize].trace_id;
                 self.trace(trace_id, t, TraceEventKind::Blocked { chan });
             }
         } else {
-            c.busy = true;
-            let cross = c.t;
-            self.busy_since[chan as usize] = t;
+            if self.chan_state[c] == UNTOUCHED {
+                self.touched.push(chan);
+            }
+            self.chan_state[c] = HELD;
+            let cross = self.chan_t[c];
+            self.busy_since[c] = t;
             self.queue
                 .schedule(t + cross, EventKind::Advance { msg: msg_id });
             if TRACE {
@@ -720,7 +808,7 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
             let chan = self.seg_chan(msg_id, k);
             let release = (finish - suffix).max(t);
             self.queue.schedule(release, EventKind::Release { chan });
-            suffix += self.chans[chan as usize].t;
+            suffix += self.chan_t[chan as usize];
         }
 
         self.trace(
@@ -792,13 +880,22 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
     }
 
     fn on_release(&mut self, chan: u32, t: f64) {
-        self.busy_total[chan as usize] += t - self.busy_since[chan as usize];
-        debug_assert!(self.chans[chan as usize].busy, "releasing a free channel");
+        let c = chan as usize;
+        self.busy_total[c] += t - self.busy_since[c];
+        debug_assert_eq!(self.chan_state[c], HELD, "releasing a free channel");
         loop {
-            let Some(next) = self.chans[chan as usize].queue.pop_front() else {
-                self.chans[chan as usize].busy = false;
-                return;
+            // Pop the head of the channel's wait FIFO.
+            let next = match self.wait_head[c] {
+                0 => {
+                    self.chan_state[c] = IDLE;
+                    return;
+                }
+                head => head - 1,
             };
+            self.wait_head[c] = self.msgs[next as usize].next_waiter;
+            if self.wait_head[c] == 0 {
+                self.wait_tail[c] = 0;
+            }
             if self.is_failed(chan) {
                 // The link died while this header was queued on it: the
                 // grant would start a crossing on a failed channel, so the
@@ -806,9 +903,9 @@ impl<'a, S: Scheduler<EventKind>, const TRACE: bool> Simulator<'a, S, TRACE> {
                 self.drop_msg(next, chan, t);
                 continue;
             }
-            // Grant to the next waiting header; channel stays busy.
-            let cross = self.chans[chan as usize].t;
-            self.busy_since[chan as usize] = t;
+            // Grant to the next waiting header; channel stays held.
+            let cross = self.chan_t[c];
+            self.busy_since[c] = t;
             self.queue
                 .schedule(t + cross, EventKind::Advance { msg: next });
             if TRACE {

@@ -21,6 +21,11 @@
 //! by the cross-backend property tests in `tests/scheduler_order.rs` and
 //! by the seed-pinned golden statistics in `tests/golden_regression.rs`.
 //!
+//! Besides `schedule`/`pop`, a scheduler can `peek` at its head's
+//! `(time, seq)` and reserve a sequence number for an event kept elsewhere.
+//! The worm engine uses both to hold its per-node `Generate` events in a
+//! side heap and merge the two lists in exact `(time, seq)` order.
+//!
 //! The heap backend retains its capacity across pushes and pops, so a
 //! warmed-up loop never touches the allocator; the calendar reuses its
 //! bucket and overflow storage per event and allocates only on resizes
@@ -90,6 +95,17 @@ pub trait Scheduler<K> {
     /// Removes and returns the earliest event (insertion order on ties).
     fn pop(&mut self) -> Option<Timed<K>>;
 
+    /// `(time, seq)` of the event the next [`Scheduler::pop`] returns,
+    /// without removing it. Takes `&mut self` because the calendar walks
+    /// its cursor forward to the due day, the walk that `pop` then skips.
+    fn peek(&mut self) -> Option<(f64, u64)>;
+
+    /// Takes the next insertion sequence number without scheduling
+    /// anything. An event the caller keeps in a list of its own under this
+    /// number orders against this scheduler's events exactly as if it had
+    /// been scheduled here at the same moment.
+    fn reserve_seq(&mut self) -> u64;
+
     /// Number of pending events.
     fn len(&self) -> usize;
 
@@ -117,14 +133,24 @@ impl<K> Scheduler<K> for EventQueue<K> {
 
     #[inline]
     fn schedule(&mut self, time: f64, kind: K) {
-        let seq = self.seq;
-        self.seq += 1;
+        let seq = self.reserve_seq();
         self.heap.push(Timed { time, seq, kind });
     }
 
     #[inline]
     fn pop(&mut self) -> Option<Timed<K>> {
         self.heap.pop()
+    }
+
+    #[inline]
+    fn peek(&mut self) -> Option<(f64, u64)> {
+        self.heap.peek().map(|ev| (ev.time, ev.seq))
+    }
+
+    #[inline]
+    fn reserve_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq - 1
     }
 
     fn len(&self) -> usize {
@@ -159,8 +185,9 @@ const HEAD_SAMPLE: usize = 32;
 /// time, so the bucket minimum is due iff anything in the bucket is),
 /// while same-instant bursts append at the back in O(1) (insertion
 /// order is exactly pop order on ties). Popping advances day by day
-/// within the year; an exhausted year jumps straight to the earliest
-/// overflow event and migrates its year in.
+/// from the cursor; an empty band jumps straight to the earliest
+/// overflow event and migrates its year in, and a full rotation that
+/// finds nothing due falls back to a direct search of the bucket fronts.
 ///
 /// The structure resizes itself: the bucket count doubles when the
 /// in-year band exceeds two events per bucket (and shrinks when it falls
@@ -249,6 +276,72 @@ impl<K> CalendarQueue<K> {
             self.band_len += 1;
         }
         self.year_max_band = self.year_max_band.max(self.band_len);
+    }
+
+    /// Walks the cursor to the bucket whose front is the earliest pending
+    /// event and returns its index (`None` when empty). The cursor stops
+    /// on the due day, so a following walk finds the same front at once.
+    fn head_bucket(&mut self) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        if self.band_len == 0 {
+            self.jump_to_overflow();
+        }
+        // Rotate day by day from the cursor. Every band event lies at or
+        // past the cursor, so the walk meets the earliest one first.
+        let n = self.buckets.len();
+        for _ in 0..n {
+            let idx = self.bucket_of(self.day);
+            // The bucket minimum sits at the front; `day_of` is monotone
+            // in time, so it is due iff anything in the bucket is.
+            if let Some(ev) = self.buckets[idx].front() {
+                if self.day_of(ev.time) <= self.day {
+                    return Some(idx);
+                }
+            }
+            self.day += 1;
+        }
+        // A whole rotation found nothing due: an insert below the year's
+        // first day rewound the cursor far behind the rest of the band.
+        // The year can start far ahead of later inserts when it jumped to
+        // an overflow event, or began at the first event of an empty
+        // queue. Search the bucket fronts directly.
+        let idx = (0..n)
+            .filter(|&i| !self.buckets[i].is_empty())
+            .min_by(|&a, &b| {
+                let (ea, eb) = (&self.buckets[a][0], &self.buckets[b][0]);
+                ea.time.total_cmp(&eb.time).then(ea.seq.cmp(&eb.seq))
+            })
+            .expect("band_len > 0");
+        self.day = self.day_of(self.buckets[idx][0].time);
+        Some(idx)
+    }
+
+    /// With the band empty, starts the year at the earliest overflow event
+    /// and migrates its year in, instead of walking the empty days left.
+    fn jump_to_overflow(&mut self) {
+        let next = self
+            .overflow
+            .peek()
+            .expect("len > 0 with an empty band implies overflow events");
+        self.day = self.day_of(next.time);
+        self.year_end = self.day + self.buckets.len() as i64;
+        // Rebalance on the year boundary, where the band is empty and
+        // re-bucketing is cheapest: shrink when the whole past year stayed
+        // far below capacity (a pop-side shrink would fire on every year
+        // drain and thrash), grow when migration overfills the new year.
+        if self.year_max_band * 4 < self.buckets.len() && self.buckets.len() > MIN_BUCKETS {
+            let halved = self.buckets.len() / 2;
+            self.resize(halved);
+        } else {
+            self.migrate_overflow();
+        }
+        while self.band_len > self.buckets.len() * 2 {
+            let doubled = self.buckets.len() * 2;
+            self.resize(doubled);
+        }
+        self.year_max_band = self.band_len;
     }
 
     /// Re-buckets the band into `new_n` buckets, re-estimating the day
@@ -342,10 +435,18 @@ impl<K> Scheduler<K> for CalendarQueue<K> {
 
     #[inline]
     fn schedule(&mut self, time: f64, kind: K) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.len += 1;
+        let seq = self.reserve_seq();
         let day = self.day_of(time);
+        if self.len == 0 {
+            // Nothing pending: start the year at this event rather than
+            // park it in the overflow band. A scheduler that drains
+            // between bursts (the worm engine's traffic list at light
+            // load) otherwise pays an overflow push and migration per
+            // burst.
+            self.day = day;
+            self.year_end = day + self.buckets.len() as i64;
+        }
+        self.len += 1;
         if day >= self.year_end {
             // Beyond the current year: the overflow band holds it until
             // its year arrives.
@@ -370,53 +471,21 @@ impl<K> Scheduler<K> for CalendarQueue<K> {
     }
 
     fn pop(&mut self) -> Option<Timed<K>> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            // Rotate through the remaining days of the current year.
-            while self.day < self.year_end {
-                let idx = self.bucket_of(self.day);
-                // The bucket minimum sits at the front; `day_of` is
-                // monotone in time, so it is due iff anything in the
-                // bucket is.
-                if let Some(ev) = self.buckets[idx].front() {
-                    if self.day_of(ev.time) <= self.day {
-                        let ev = self.buckets[idx].pop_front().expect("checked non-empty");
-                        self.band_len -= 1;
-                        self.len -= 1;
-                        return Some(ev);
-                    }
-                }
-                self.day += 1;
-            }
-            // Year exhausted: every bucket is empty (the window held one
-            // bucket per day and each day was visited). Jump straight to
-            // the year of the earliest overflow event.
-            debug_assert_eq!(self.band_len, 0, "exhausted year left band events behind");
-            let next = self
-                .overflow
-                .peek()
-                .expect("len > 0 with an empty band implies overflow events");
-            self.day = self.day_of(next.time);
-            self.year_end = self.day + self.buckets.len() as i64;
-            // Rebalance on the year boundary, where the band is empty
-            // and re-bucketing is cheapest: shrink when the whole past
-            // year stayed far below capacity (a pop-side shrink would
-            // fire on every year drain and thrash), grow when migration
-            // overfills the new year.
-            if self.year_max_band * 4 < self.buckets.len() && self.buckets.len() > MIN_BUCKETS {
-                let halved = self.buckets.len() / 2;
-                self.resize(halved);
-            } else {
-                self.migrate_overflow();
-            }
-            while self.band_len > self.buckets.len() * 2 {
-                let doubled = self.buckets.len() * 2;
-                self.resize(doubled);
-            }
-            self.year_max_band = self.band_len;
-        }
+        let idx = self.head_bucket()?;
+        self.band_len -= 1;
+        self.len -= 1;
+        self.buckets[idx].pop_front()
+    }
+
+    fn peek(&mut self) -> Option<(f64, u64)> {
+        let idx = self.head_bucket()?;
+        self.buckets[idx].front().map(|ev| (ev.time, ev.seq))
+    }
+
+    #[inline]
+    fn reserve_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq - 1
     }
 
     fn len(&self) -> usize {
@@ -576,6 +645,23 @@ mod tests {
         // And scheduling resumes normally afterwards.
         q.schedule(2.0, "later");
         assert_eq!(q.pop().unwrap().kind, "later");
+    }
+
+    #[test]
+    fn calendar_rewind_far_below_the_year_stays_bounded() {
+        // The year starts at a far event; inserts far below it (as a
+        // merged side list produces) rewind the cursor ~1e15 empty days
+        // behind it. Pops must not walk those days one by one.
+        let mut q = CalendarQueue::<&str>::new();
+        q.schedule(1e15, "far");
+        assert_eq!(q.peek(), Some((1e15, 0)));
+        q.schedule(1.0, "near");
+        q.schedule(2.5, "next");
+        assert_eq!(q.peek(), Some((1.0, 1)));
+        assert_eq!(q.pop().unwrap().kind, "near");
+        assert_eq!(q.pop().unwrap().kind, "next");
+        assert_eq!(q.pop().unwrap().kind, "far");
+        assert!(q.pop().is_none());
     }
 
     #[test]

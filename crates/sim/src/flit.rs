@@ -366,7 +366,9 @@ impl<'a, S: Scheduler<EventKind>> FlitSimulator<'a, S> {
             return;
         }
         let src = node as usize;
-        let dst = self.pattern.sample(self.built.spec(), src, &mut self.rng);
+        let dst = self
+            .pattern
+            .sample_in(self.built.node_layout(), src, &mut self.rng);
         if self.routes.is_unreachable(src, dst) {
             // Statically partitioned destination: account the message
             // without allocating a slab slot, keep the arrival stream

@@ -12,10 +12,18 @@
 //! clustered bands (segment finish times share bottleneck structure),
 //! uniform gaps, same-instant ties (simultaneous releases), and bursts
 //! whose offsets *decrease* toward the current time (a release schedule
-//! walks a segment backwards, emitting near-`now` events last).
+//! walks a segment backwards, emitting near-`now` events last). Every pop
+//! is preceded by a `peek` that must name the same event.
+//!
+//! A second family pins the split the worm engine runs on: a traffic
+//! scheduler plus a side min-heap whose events carry sequence numbers
+//! reserved from that scheduler must pop exactly the stream of one
+//! scheduler holding every event, exact-time ties across the two lists
+//! included.
 
 use cocnet_sim::{CalendarQueue, EventQueue, Scheduler, Timed};
 use proptest::prelude::*;
+use std::collections::BinaryHeap;
 
 /// One step of a workload: schedule this many events (with the given
 /// offset picks), then pop this many.
@@ -34,8 +42,8 @@ fn assert_identical_order(steps: &[Step], offset_of: impl Fn(f64) -> f64) {
     let mut now = 0.0f64;
     let mut payload = 0u32;
     let pop_both = |heap: &mut EventQueue<u32>, cal: &mut CalendarQueue<u32>| {
-        let h = heap.pop();
-        let c = cal.pop();
+        let h = pop_checking_peek(heap);
+        let c = pop_checking_peek(cal);
         match (&h, &c) {
             (None, None) => {}
             (Some(a), Some(b)) => {
@@ -67,6 +75,111 @@ fn assert_identical_order(steps: &[Step], offset_of: impl Fn(f64) -> f64) {
     }
     let _ = now;
     assert!(heap.is_empty() && cal.is_empty());
+}
+
+/// Pops one event after asserting that `peek` names it.
+fn pop_checking_peek<S: Scheduler<u32>>(q: &mut S) -> Option<Timed<u32>> {
+    let peeked = q.peek().map(|(time, seq)| (time.to_bits(), seq));
+    let ev = q.pop();
+    assert_eq!(
+        peeked,
+        ev.as_ref().map(|e| (e.time.to_bits(), e.seq)),
+        "peek != pop"
+    );
+    ev
+}
+
+/// One step of a split workload: events to schedule, each with whether
+/// it goes to the side list, then pops.
+#[derive(Debug, Clone)]
+struct SplitStep {
+    events: Vec<(f64, bool)>,
+    pops: usize,
+}
+
+/// A traffic scheduler plus a side min-heap, merged the way the worm
+/// engine merges its generate list: the earlier `(time, seq)` head pops.
+struct Split<S> {
+    traffic: S,
+    side: BinaryHeap<Timed<u32>>,
+}
+
+impl<S: Scheduler<u32>> Split<S> {
+    fn schedule(&mut self, time: f64, kind: u32, side: bool) {
+        if side {
+            let seq = self.traffic.reserve_seq();
+            self.side.push(Timed { time, seq, kind });
+        } else {
+            self.traffic.schedule(time, kind);
+        }
+    }
+
+    fn pop(&mut self) -> Option<Timed<u32>> {
+        let side_first = match (self.side.peek(), self.traffic.peek()) {
+            (Some(g), Some((time, seq))) => g.time.total_cmp(&time).then(g.seq.cmp(&seq)).is_lt(),
+            (g, _) => g.is_some(),
+        };
+        if side_first {
+            self.side.pop()
+        } else {
+            pop_checking_peek(&mut self.traffic)
+        }
+    }
+}
+
+/// Drives one scheduler holding every event and a [`Split`] of the same
+/// backend through the same workload and asserts bitwise-equal streams.
+fn assert_split_matches_single<S: Scheduler<u32>>(
+    steps: &[SplitStep],
+    offset_of: impl Fn(f64) -> f64,
+) {
+    let mut single = S::new();
+    let mut split = Split {
+        traffic: S::new(),
+        side: BinaryHeap::new(),
+    };
+    let mut now = 0.0f64;
+    let mut payload = 0u32;
+    let pop_both = |single: &mut S, split: &mut Split<S>, now: &mut f64| {
+        let a = single.pop();
+        let b = split.pop();
+        match (&a, &b) {
+            (None, None) => false,
+            (Some(a), Some(b)) => {
+                assert_eq!(a.time.to_bits(), b.time.to_bits(), "time diverged");
+                assert_eq!((a.seq, a.kind), (b.seq, b.kind), "order diverged");
+                *now = a.time;
+                true
+            }
+            _ => panic!("split and single differ in occupancy"),
+        }
+    };
+    for step in steps {
+        for &(raw, side) in &step.events {
+            let t = now + offset_of(raw);
+            single.schedule(t, payload);
+            split.schedule(t, payload, side);
+            payload += 1;
+        }
+        for _ in 0..step.pops {
+            pop_both(&mut single, &mut split, &mut now);
+        }
+    }
+    while pop_both(&mut single, &mut split, &mut now) {}
+}
+
+fn arb_split_steps(max_batch: usize) -> impl Strategy<Value = Vec<SplitStep>> {
+    prop::collection::vec(
+        (
+            prop::collection::vec(
+                (0.0f64..1.0, 0u32..2).prop_map(|(raw, side)| (raw, side == 1)),
+                1..max_batch,
+            ),
+            0usize..6,
+        )
+            .prop_map(|(events, pops)| SplitStep { events, pops }),
+        1..30,
+    )
 }
 
 fn arb_steps(max_batch: usize) -> impl Strategy<Value = Vec<Step>> {
@@ -118,6 +231,55 @@ proptest! {
             .collect();
         assert_identical_order(&reversed, |raw| 0.01 + raw * raw * 2.0);
     }
+}
+
+proptest! {
+    #[test]
+    fn split_lists_pop_as_one_scheduler(steps in arb_split_steps(8)) {
+        assert_split_matches_single::<EventQueue<u32>>(&steps, |raw| raw * 10.0);
+        assert_split_matches_single::<CalendarQueue<u32>>(&steps, |raw| raw * 10.0);
+    }
+
+    #[test]
+    fn split_lists_break_exact_ties_by_sequence(steps in arb_split_steps(10)) {
+        // Quantized offsets put events of both lists at the same instant
+        // (including exactly `now`); only the shared sequence can order them.
+        let tie = |raw: f64| (raw * 3.0).floor() * 0.5;
+        assert_split_matches_single::<EventQueue<u32>>(&steps, tie);
+        assert_split_matches_single::<CalendarQueue<u32>>(&steps, tie);
+    }
+
+    #[test]
+    fn split_lists_pop_as_one_across_far_bands(steps in arb_split_steps(8)) {
+        // Far-apart bands push calendar events into its overflow and force
+        // year jumps while the side list holds earlier events.
+        let bands = |raw: f64| {
+            let band = (raw * 3.0).floor().min(2.0);
+            band * 1e4 + (raw * 3.0 - band) * 0.05
+        };
+        assert_split_matches_single::<EventQueue<u32>>(&steps, bands);
+        assert_split_matches_single::<CalendarQueue<u32>>(&steps, bands);
+    }
+}
+
+/// Exact-time ties forced across the two lists: every event of a burst
+/// shares one instant and the lists alternate irregularly, so the merged
+/// order rests on the reserved sequence numbers alone.
+#[test]
+fn split_lists_forced_cross_list_ties() {
+    let steps: Vec<SplitStep> = (0..40)
+        .map(|round| SplitStep {
+            events: (0..6).map(|k| (0.0, (round + k * k) % 3 == 0)).collect(),
+            pops: round % 4,
+        })
+        .collect();
+    // Every offset maps to `now` itself or one fixed step ahead.
+    let tie = |_: f64| 0.0;
+    assert_split_matches_single::<EventQueue<u32>>(&steps, tie);
+    assert_split_matches_single::<CalendarQueue<u32>>(&steps, tie);
+    let step_ahead = |_: f64| 1.0;
+    assert_split_matches_single::<EventQueue<u32>>(&steps, step_ahead);
+    assert_split_matches_single::<CalendarQueue<u32>>(&steps, step_ahead);
 }
 
 /// Deterministic cross-check at a scale that forces several calendar

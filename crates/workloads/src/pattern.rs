@@ -49,11 +49,89 @@ pub enum Pattern {
     Complement,
 }
 
+/// The flat node numbering of a [`SystemSpec`], resolved once: the total
+/// node count and the first flat node of every cluster.
+///
+/// [`SystemSpec`] derives each cluster's size from its topology on every
+/// call, so a per-message destination draw through it costs O(C). Drawing
+/// through a layout costs O(1) for the uniform, hotspot and complement
+/// patterns and an O(log C) cluster lookup for the cluster-relative ones
+/// ([`Pattern::sample_in`]); a simulator builds one per system.
+#[derive(Debug)]
+pub struct NodeLayout {
+    /// `offsets[i]` is cluster `i`'s first flat node; the final entry is
+    /// the total node count.
+    offsets: Vec<usize>,
+}
+
+impl NodeLayout {
+    /// Resolves `spec`'s cluster sizes into flat node offsets.
+    pub fn new(spec: &SystemSpec) -> Self {
+        let mut offsets = Vec::with_capacity(spec.num_clusters() + 1);
+        let mut total = 0;
+        offsets.push(total);
+        for i in 0..spec.num_clusters() {
+            total += spec.cluster_nodes(i);
+            offsets.push(total);
+        }
+        Self { offsets }
+    }
+
+    /// Total nodes in the system, `N = Σ N_i`.
+    #[inline]
+    fn total_nodes(&self) -> usize {
+        self.offsets[self.offsets.len() - 1]
+    }
+
+    /// Number of clusters `C`.
+    #[inline]
+    fn num_clusters(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// First flat node of cluster `i`.
+    #[inline]
+    fn node_offset(&self, i: usize) -> usize {
+        self.offsets[i]
+    }
+
+    /// Number of nodes in cluster `i`.
+    #[inline]
+    fn cluster_nodes(&self, i: usize) -> usize {
+        self.offsets[i + 1] - self.offsets[i]
+    }
+
+    /// Maps a flat node index to `(cluster, local index)`, like
+    /// [`SystemSpec::locate_node`] for an in-range node.
+    #[inline]
+    fn locate_node(&self, flat: usize) -> (usize, usize) {
+        debug_assert!(flat < self.total_nodes());
+        // The last cluster starting at or before `flat`.
+        let cluster = self.offsets.partition_point(|&o| o <= flat) - 1;
+        (cluster, flat - self.offsets[cluster])
+    }
+}
+
 impl Pattern {
     /// Samples a destination for a message generated at flat node `src`.
     /// Always returns a node different from `src`.
+    ///
+    /// Resolves the spec's [`NodeLayout`] on every call; a caller drawing
+    /// many destinations from one system keeps the layout and calls
+    /// [`Pattern::sample_in`], which returns the same node and consumes
+    /// the same random draws.
     pub fn sample<R: Rng + ?Sized>(&self, spec: &SystemSpec, src: usize, rng: &mut R) -> usize {
-        let total = spec.total_nodes();
+        self.sample_in(&NodeLayout::new(spec), src, rng)
+    }
+
+    /// [`Pattern::sample`] over a pre-resolved [`NodeLayout`].
+    pub fn sample_in<R: Rng + ?Sized>(
+        &self,
+        layout: &NodeLayout,
+        src: usize,
+        rng: &mut R,
+    ) -> usize {
+        let total = layout.total_nodes();
         debug_assert!(src < total);
         match *self {
             Pattern::Uniform => uniform_excluding(total, src, rng),
@@ -67,12 +145,12 @@ impl Pattern {
             }
             Pattern::ClusterLocal { locality } => {
                 debug_assert!((0.0..=1.0).contains(&locality));
-                let (cluster, _) = spec.locate_node(src).expect("src in range");
-                let off = spec.node_offset(cluster);
-                let size = spec.cluster_nodes(cluster);
+                let (cluster, local) = layout.locate_node(src);
+                let off = src - local;
+                let size = layout.cluster_nodes(cluster);
                 let stay = size > 1 && rng.random::<f64>() < locality;
                 if stay {
-                    off + uniform_excluding(size, src - off, rng)
+                    off + uniform_excluding(size, local, rng)
                 } else {
                     // Uniform over nodes outside the source cluster.
                     let outside = total - size;
@@ -86,12 +164,12 @@ impl Pattern {
                 }
             }
             Pattern::ClusterShift { shift } => {
-                let c = spec.num_clusters();
+                let c = layout.num_clusters();
                 debug_assert!(shift % c != 0, "shift must leave the cluster");
-                let (cluster, local) = spec.locate_node(src).expect("src in range");
+                let (cluster, local) = layout.locate_node(src);
                 let dest_cluster = (cluster + shift) % c;
-                let dest_size = spec.cluster_nodes(dest_cluster);
-                spec.node_offset(dest_cluster) + local % dest_size
+                let dest_size = layout.cluster_nodes(dest_cluster);
+                layout.node_offset(dest_cluster) + local % dest_size
             }
             Pattern::Complement => {
                 let mirror = total - 1 - src;
@@ -171,6 +249,103 @@ mod tests {
         };
         // m=4, C=4 clusters: 4+4+8+8 = 24 nodes.
         SystemSpec::new(4, vec![c(1), c(1), c(2), c(2)], net).unwrap()
+    }
+
+    /// Four torus clusters of 16, 6, 9 and 4 nodes (35 in all, so the
+    /// complement's self-mirror fallback is reachable) under an m=4 tree.
+    fn torus_spec() -> SystemSpec {
+        use cocnet_topology::{TopoSpec, TorusShape};
+        let net = NetworkCharacteristics::new(500.0, 0.01, 0.02).unwrap();
+        let c = |dims: &[u32]| ClusterSpec {
+            n: 0,
+            icn1: net,
+            ecn1: net,
+            topology: TopoSpec::Torus(TorusShape::new(dims).unwrap()),
+        };
+        SystemSpec::new(4, vec![c(&[4, 4]), c(&[2, 3]), c(&[3, 3]), c(&[2, 2])], net).unwrap()
+    }
+
+    /// Destination sampling straight from the spec's O(C) node algebra:
+    /// the oracle the layout sampler must reproduce draw for draw.
+    fn spec_sample(p: Pattern, spec: &SystemSpec, src: usize, rng: &mut StdRng) -> usize {
+        let total = spec.total_nodes();
+        match p {
+            Pattern::Uniform => uniform_excluding(total, src, rng),
+            Pattern::Hotspot { hotspot, fraction } => {
+                if hotspot != src && rng.random::<f64>() < fraction {
+                    hotspot
+                } else {
+                    uniform_excluding(total, src, rng)
+                }
+            }
+            Pattern::ClusterLocal { locality } => {
+                let (cluster, _) = spec.locate_node(src).unwrap();
+                let off = spec.node_offset(cluster);
+                let size = spec.cluster_nodes(cluster);
+                if size > 1 && rng.random::<f64>() < locality {
+                    off + uniform_excluding(size, src - off, rng)
+                } else {
+                    let pick = rng.random_range(0..total - size);
+                    if pick < off {
+                        pick
+                    } else {
+                        pick + size
+                    }
+                }
+            }
+            Pattern::ClusterShift { shift } => {
+                let (cluster, local) = spec.locate_node(src).unwrap();
+                let dest = (cluster + shift) % spec.num_clusters();
+                spec.node_offset(dest) + local % spec.cluster_nodes(dest)
+            }
+            Pattern::Complement => {
+                let mirror = total - 1 - src;
+                if mirror == src {
+                    (src + 1) % total
+                } else {
+                    mirror
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn layout_sampling_matches_the_spec_draw_for_draw() {
+        for spec in [spec(), torus_spec()] {
+            let layout = NodeLayout::new(&spec);
+            assert_eq!(layout.total_nodes(), spec.total_nodes());
+            for src in 0..spec.total_nodes() {
+                let (c, l) = spec.locate_node(src).unwrap();
+                assert_eq!(layout.locate_node(src), (c, l));
+                assert_eq!(layout.node_offset(c), spec.node_offset(c));
+            }
+            let patterns = [
+                Pattern::Uniform,
+                Pattern::Hotspot {
+                    hotspot: 5,
+                    fraction: 0.4,
+                },
+                Pattern::ClusterLocal { locality: 0.6 },
+                Pattern::ClusterShift { shift: 1 },
+                Pattern::ClusterShift { shift: 3 },
+                Pattern::Complement,
+            ];
+            for p in patterns {
+                let mut oracle = StdRng::seed_from_u64(31);
+                let mut via_spec = StdRng::seed_from_u64(31);
+                let mut via_layout = StdRng::seed_from_u64(31);
+                for k in 0..2_000 {
+                    let src = k % spec.total_nodes();
+                    let want = spec_sample(p, &spec, src, &mut oracle);
+                    assert_eq!(p.sample(&spec, src, &mut via_spec), want, "{p:?} src {src}");
+                    assert_eq!(p.sample_in(&layout, src, &mut via_layout), want);
+                }
+                // Every path consumed exactly the same random draws.
+                let next = oracle.random::<u64>();
+                assert_eq!(via_spec.random::<u64>(), next, "{p:?}");
+                assert_eq!(via_layout.random::<u64>(), next, "{p:?}");
+            }
+        }
     }
 
     #[test]
